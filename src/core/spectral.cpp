@@ -75,9 +75,7 @@ void note_degradation(SpectralResult& result, const char* stage,
   total.add();
   obs::metrics().counter(std::string("degrade.") + action).add();
   if (obs::trace_enabled()) {
-    obs::trace().counter("degrade.fallback",
-                         static_cast<double>(total.value()),
-                         obs::wall_now_us());
+    obs::trace().cumulative("degrade.fallback", total);
   }
   FASTSC_LOG_WARN("degradation: stage '" << stage << "' -> " << action << " ("
                                          << reason << ")");

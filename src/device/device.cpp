@@ -322,9 +322,7 @@ void DeviceContext::note_transfer_retry(std::string_view site,
   total.add();
   obs::metrics().counter("fault.transfer_retry." + std::string(site)).add();
   if (obs::trace_enabled()) {
-    obs::trace().counter("fault.transfer_retry",
-                         static_cast<double>(total.value()),
-                         obs::wall_now_us());
+    obs::trace().cumulative("fault.transfer_retry", total);
   }
   FASTSC_LOG_WARN("transient transfer fault at '"
                   << site << "': retrying after " << backoff_seconds * 1e6

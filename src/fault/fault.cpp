@@ -256,9 +256,7 @@ Injector::FireInfo Injector::on_site_info(std::string_view site) {
     if (obs::trace_enabled()) {
       // Registry value, not injected_total_: the registry never resets on
       // re-arm, so the trace counter series stays monotone within a run.
-      obs::trace().counter("fault.injected",
-                           static_cast<double>(injected.value()),
-                           obs::wall_now_us());
+      obs::trace().cumulative("fault.injected", injected);
     }
     FASTSC_LOG_WARN("fault injection: triggering at site '"
                     << site << "' (occurrence " << occurrence << ")");

@@ -26,10 +26,7 @@ inline void sdc_note_detected(const std::string& site,
   Counter& total = metrics().counter("sdc.detected");
   total.add();
   metrics().counter("sdc.detected." + site).add();
-  if (trace_enabled()) {
-    trace().counter("sdc.detected", static_cast<double>(total.value()),
-                    wall_now_us());
-  }
+  if (trace_enabled()) trace().cumulative("sdc.detected", total);
   FASTSC_LOG_WARN("sdc: corruption detected at '" << site << "' (" << why
                                                   << ")");
 }
@@ -37,10 +34,7 @@ inline void sdc_note_detected(const std::string& site,
 inline void sdc_note_recomputed(const std::string& site) {
   Counter& total = metrics().counter("sdc.recomputed");
   total.add();
-  if (trace_enabled()) {
-    trace().counter("sdc.recomputed", static_cast<double>(total.value()),
-                    wall_now_us());
-  }
+  if (trace_enabled()) trace().cumulative("sdc.recomputed", total);
   FASTSC_LOG_WARN("sdc: recomputed corrupted block at '" << site << "'");
 }
 

@@ -8,6 +8,7 @@
 #include "common/log.h"
 #include "common/timer.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace fastsc::obs {
 
@@ -25,6 +26,19 @@ void mirror_event(const TraceEvent& e) {
                                  << e.pid << ":" << e.tid << " ts=" << e.ts_us
                                  << "us dur=" << e.dur_us << "us");
   }
+}
+
+TraceEvent counter_event(std::string_view name, double value, double ts_us,
+                         std::uint32_t pid) {
+  TraceEvent e;
+  e.name = std::string(name);
+  e.cat = "counter";
+  e.phase = 'C';
+  e.ts_us = ts_us;
+  e.pid = pid;
+  e.tid = 0;
+  e.args.emplace_back("value", value);
+  return e;
 }
 
 }  // namespace
@@ -60,17 +74,30 @@ void TraceRecorder::counter(std::string_view name, double value, double ts_us,
                             std::uint32_t pid) {
   if (tee_ != nullptr) tee_->counter(name, value, ts_us, pid);
   if (!enabled()) return;
-  TraceEvent e;
-  e.name = std::string(name);
-  e.cat = "counter";
-  e.phase = 'C';
-  e.ts_us = ts_us;
-  e.pid = pid;
-  e.tid = 0;
-  e.args.emplace_back("value", value);
+  TraceEvent e = counter_event(name, value, ts_us, pid);
   if (log_level() <= LogLevel::kTrace) mirror_event(e);
   std::lock_guard lock(mu_);
   events_.push_back(std::move(e));
+}
+
+void TraceRecorder::cumulative(std::string_view name, const Counter& c,
+                               std::uint32_t pid) {
+  if (tee_ != nullptr) tee_->cumulative(name, c, pid);
+  if (!enabled()) return;
+  TraceEvent e = counter_event(name, 0.0, 0.0, pid);
+  const bool mirror = log_level() <= LogLevel::kTrace;
+  {
+    // Stamp and read together under mu_: lock order then orders both.
+    std::lock_guard lock(mu_);
+    e.ts_us = wall_now_us();
+    e.args[0].num = static_cast<double>(c.value());
+    if (mirror) {
+      events_.push_back(e);
+    } else {
+      events_.push_back(std::move(e));
+    }
+  }
+  if (mirror) mirror_event(e);
 }
 
 void TraceRecorder::name_track(std::uint32_t pid, std::uint32_t tid,

@@ -36,6 +36,8 @@
 
 namespace fastsc::obs {
 
+class Counter;
+
 /// Trace "process" ids (trackable groups in the viewer).
 inline constexpr std::uint32_t kWallPid = 1;     ///< real wall-clock spans
 inline constexpr std::uint32_t kVirtualPid = 2;  ///< device virtual timeline
@@ -107,9 +109,21 @@ class TraceRecorder {
                 std::string_view cat, double ts_us, double dur_us,
                 std::vector<TraceArg> args = {});
 
-  /// Record a counter sample ('C'); the viewer plots the series per name.
+  /// Record a point-in-time counter sample ('C'); the viewer plots the
+  /// series per name.  Not for mirroring a registry Counter: use
+  /// cumulative(), or concurrent callers can publish a smaller total at a
+  /// later timestamp.
   void counter(std::string_view name, double value, double ts_us,
                std::uint32_t pid = kWallPid);
+
+  /// Record a cumulative sample of registry counter `c` ('C').  The
+  /// timestamp (wall_now_us()) and c.value() are both taken under this
+  /// recorder's lock, so — registry counters only ever increase — each
+  /// recorder's series is non-decreasing in timestamp order, with equal
+  /// timestamps kept in lock (= event) order.  The tee takes its own
+  /// locked sample rather than copying this one.
+  void cumulative(std::string_view name, const Counter& c,
+                  std::uint32_t pid = kWallPid);
 
   /// Attach a human-readable name to a (pid, tid) track; written as
   /// trace-viewer metadata.  Cheap and always recorded (once per thread),

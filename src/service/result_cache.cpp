@@ -10,15 +10,12 @@ namespace fastsc::service {
 
 namespace {
 
-/// Counter bump + cumulative trace mirror (the cancel.cpp/fault.cpp
-/// pattern, so tools/check_trace.py can assert monotonicity).
+/// Counter bump + cumulative trace mirror (TraceRecorder::cumulative, so
+/// tools/check_trace.py can assert monotonicity).
 void bump(const char* name) {
   obs::Counter& c = obs::metrics().counter(name);
   c.add();
-  if (obs::trace_enabled()) {
-    obs::trace().counter(name, static_cast<double>(c.value()),
-                         obs::wall_now_us());
-  }
+  if (obs::trace_enabled()) obs::trace().cumulative(name, c);
 }
 
 }  // namespace

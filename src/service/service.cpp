@@ -39,14 +39,11 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Counter bump with the cumulative trace mirror (cancel.cpp pattern).
+/// Counter bump with the cumulative trace mirror (TraceRecorder::cumulative).
 void bump(const char* name) {
   obs::Counter& c = obs::metrics().counter(name);
   c.add();
-  if (obs::trace_enabled()) {
-    obs::trace().counter(name, static_cast<double>(c.value()),
-                         obs::wall_now_us());
-  }
+  if (obs::trace_enabled()) obs::trace().cumulative(name, c);
 }
 
 /// Device bytes a job will need, from the same arithmetic the pipeline

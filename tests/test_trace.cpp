@@ -1,7 +1,8 @@
 // Tests for the trace recorder: disabled fast path, span/counter emission,
 // concurrent recording, JSON shape, and the contract the trace_check CTest
 // leans on — the virtual-timeline intervals in the trace reproduce
-// DeviceCounters::overlapped_seconds when recomputed pairwise.
+// DeviceCounters::overlapped_seconds when recomputed pairwise — and that
+// cumulative() samples of a registry counter stay monotone under contention.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/log.h"
 #include "device/device.h"
 #include "device/executor.h"
+#include "obs/metrics.h"
 
 namespace fastsc::obs {
 namespace {
@@ -68,6 +71,109 @@ TEST(Trace, CounterEventCarriesValue) {
   EXPECT_EQ(events[0].name, "lanczos.worst_residual");
   ASSERT_EQ(events[0].args.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].args[0].num, 0.125);
+}
+
+TEST(Trace, CumulativeSamplesCounterValueAtRecordTime) {
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  Counter c;
+  c.add(3);
+  const double before = wall_now_us();
+  rec.cumulative("cache.hits", c);
+  const double after = wall_now_us();
+  const std::vector<TraceEvent> events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].phase, 'C');
+  EXPECT_EQ(events[0].name, "cache.hits");
+  EXPECT_EQ(events[0].pid, kWallPid);
+  EXPECT_GE(events[0].ts_us, before);
+  EXPECT_LE(events[0].ts_us, after);
+  ASSERT_EQ(events[0].args.size(), 1u);
+  EXPECT_DOUBLE_EQ(events[0].args[0].num, 3.0);
+}
+
+TEST(Trace, CumulativeIsMirroredAtTraceLogLevel) {
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  Counter c;
+  c.add(5);
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kTrace);
+  testing::internal::CaptureStderr();
+  rec.cumulative("d2d.transfers", c);
+  const std::string err = testing::internal::GetCapturedStderr();
+  set_log_level(saved);
+  const std::vector<TraceEvent> events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  // The mirror line carries the recorded sample's own value and timestamp.
+  std::ostringstream expected;
+  expected << "counter d2d.transfers = " << events[0].args[0].num << " @"
+           << events[0].ts_us << "us";
+  EXPECT_NE(err.find(expected.str()), std::string::npos) << err;
+}
+
+// Regression for the d2d.* dip scaling_smoke caught: add(), a timestamp and
+// value() taken as three unlocked steps let a later timestamp carry a smaller
+// total.  Hammer one shared counter from many threads, sampling it both
+// straight into a shared recorder and through per-thread bound recorders
+// that tee into it; every recorder's series must be non-decreasing by ts,
+// and a final sample taken after every add must read the full total.
+TEST(Trace, CumulativeSeriesMonotoneUnderContention) {
+  constexpr int kThreads = 6;
+  constexpr int kAddsEach = 2000;
+  constexpr std::int64_t kTotal = std::int64_t{kThreads} * kAddsEach;
+  Counter shared;
+  TraceRecorder common;
+  common.set_enabled(true);
+  std::vector<std::unique_ptr<TraceRecorder>> jobs;
+  for (int t = 0; t < kThreads; ++t) {
+    jobs.push_back(std::make_unique<TraceRecorder>());
+    jobs.back()->set_enabled(true);
+    jobs.back()->set_tee(&common);
+  }
+  std::atomic<int> done_adding{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const TraceBindScope bind(jobs[static_cast<usize>(t)].get());
+      for (int i = 0; i < kAddsEach; ++i) {
+        shared.add();
+        if (i % 2 == 0) {
+          common.cumulative("hammer", shared);
+        } else {
+          trace().cumulative("hammer", shared);
+        }
+      }
+      done_adding.fetch_add(1);
+      while (done_adding.load() < kThreads) std::this_thread::yield();
+      trace().cumulative("hammer", shared);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  ASSERT_EQ(shared.value(), kTotal);
+
+  const auto check_series = [&](const TraceRecorder& rec, usize expected) {
+    std::vector<TraceEvent> events = rec.snapshot();
+    ASSERT_EQ(events.size(), expected);
+    // Stable: equal timestamps keep recording order, as check_trace.py's
+    // counter_series does.
+    std::stable_sort(events.begin(), events.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                       return a.ts_us < b.ts_us;
+                     });
+    double prev = 0;
+    for (const TraceEvent& e : events) {
+      ASSERT_EQ(e.name, "hammer");
+      ASSERT_EQ(e.phase, 'C');
+      ASSERT_GE(e.args[0].num, prev) << "dip at ts " << e.ts_us;
+      prev = e.args[0].num;
+    }
+    EXPECT_DOUBLE_EQ(prev, static_cast<double>(kTotal));
+  };
+  const usize via_bind = kAddsEach / 2 + 1;  // odd i plus the final sample
+  for (const auto& job : jobs) check_series(*job, via_bind);
+  check_series(common, static_cast<usize>(kTotal) + kThreads);
 }
 
 TEST(Trace, ConcurrentSpansAllLandOnDistinctTracks) {

@@ -10,10 +10,13 @@ Checks, in order:
      simulated link and compute engine is serialized, so any overlap within
      one of those tracks means the emitter is broken.  On wall-clock tracks
      (pid 1, one tid per thread) spans must be properly nested or disjoint.
-  3. Counter series: every fault.* / degrade.* / service.* / cache.* /
-     d2d.* counter ('C') sample is numeric, non-negative, and
-     non-decreasing by timestamp — the emitters publish cumulative registry
-     values, so a dip means double-reset.
+  3. Counter series: every fault.* / degrade.* / budget.* / cancel.* /
+     watchdog.* / service.* / cache.* / d2d.* / sdc.* counter ('C') sample
+     is numeric, non-negative, and non-decreasing by timestamp — the
+     emitters publish cumulative registry values, so a dip means either a
+     double-reset or a sample whose value and timestamp were not taken
+     together (concurrent emitters must sample through
+     TraceRecorder::cumulative, which reads both under one lock).
   4. Optional cross-check (--metrics metrics.json): recompute the
      transfer-x-kernel overlap from the virtual-timeline intervals — summed
      over every device's (link, compute) track pair — and compare it
@@ -181,9 +184,11 @@ CUMULATIVE_PREFIXES = ("fault.", "degrade.", "budget.", "cancel.",
 
 
 def check_counter_series(series):
-    """fault./degrade./budget./cancel./watchdog./service./cache. counters
-    mirror cumulative registry values, so each series must be non-negative
-    and non-decreasing in time."""
+    """fault./degrade./budget./cancel./watchdog./service./cache./d2d./sdc.
+    counters (CUMULATIVE_PREFIXES) mirror cumulative registry values, so
+    each series must be non-negative and non-decreasing in time.  A dip
+    means a double-reset, or a sample whose value and timestamp were not
+    taken together."""
     checked = 0
     for (pid, name), samples in series.items():
         if not name.startswith(CUMULATIVE_PREFIXES):
@@ -500,7 +505,7 @@ def main():
     print(f"check_trace: OK — {len(events)} events "
           f"({phases.get('X', 0)} spans on {len(tracks)} tracks, "
           f"{phases.get('C', 0)} counter samples in {len(series)} series "
-          f"of which {fault_series} fault/degrade, "
+          f"of which {fault_series} cumulative, "
           f"{phases.get('M', 0)} metadata records); "
           f"{n_spans} spans well-formed")
     sys.exit(0)
